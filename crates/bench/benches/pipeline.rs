@@ -8,11 +8,15 @@
 //! with `batch_convert_scalar_100` keeping the bit-exact scalar oracle on
 //! the same trajectory. `read_batch_100` isolates the steady-state
 //! conversion loop of one calibrated sensor over a 100-point temperature
-//! schedule.
+//! schedule. `golden_characterize` times the design-time fit of the
+//! characterized (ROM) model over the default space, and `rom_convert` one
+//! warm conversion of a sensor running on that model (ablation A1).
 
 use ptsim_bench::harness::{bench, emit_meta, emit_metrics};
+use ptsim_core::bank::BankSpec;
+use ptsim_core::golden::{CharacterizationSpace, GoldenModel};
 use ptsim_core::pipeline::batch::BatchPlan;
-use ptsim_core::pipeline::Scratch;
+use ptsim_core::pipeline::{run_conversion_with, Scratch};
 use ptsim_core::sensor::{PtSensor, SensorInputs, SensorSpec};
 use ptsim_device::process::Technology;
 use ptsim_device::units::Celsius;
@@ -44,7 +48,7 @@ fn main() {
 
     let mut rng = die_rng(0x2012, 0);
     let die = model.sample_die(&mut rng);
-    let mut sensor = PtSensor::new(tech, SensorSpec::default_65nm()).unwrap();
+    let mut sensor = PtSensor::new(tech.clone(), SensorSpec::default_65nm()).unwrap();
     sensor
         .calibrate(
             &SensorInputs::new(&die, DieSite::CENTER, Celsius(25.0)),
@@ -78,4 +82,31 @@ fn main() {
     if let Some(metrics) = scratch.take_metrics() {
         emit_metrics(&metrics.snapshot());
     }
+
+    bench("golden_characterize", || {
+        black_box(
+            GoldenModel::characterize(
+                &tech,
+                BankSpec::default_65nm(),
+                CharacterizationSpace::default(),
+            )
+            .unwrap(),
+        );
+    });
+
+    let mut rom = PtSensor::new(tech, SensorSpec::default_65nm()).unwrap();
+    rom.use_characterized_model(CharacterizationSpace::default())
+        .unwrap();
+    let mut rng = die_rng(0x2012, 2);
+    let die = model.sample_die(&mut rng);
+    rom.calibrate(
+        &SensorInputs::new(&die, DieSite::CENTER, Celsius(25.0)),
+        &mut rng,
+    )
+    .unwrap();
+    let read = SensorInputs::new(&die, DieSite::CENTER, Celsius(63.0));
+    let mut scratch = Scratch::new();
+    bench("rom_convert", || {
+        black_box(run_conversion_with(&rom, &read, &mut rng, &mut scratch).unwrap());
+    });
 }

@@ -190,24 +190,6 @@ impl RingCache {
         Seconds(self.two_stages * stage.0).to_frequency()
     }
 
-    /// [`RingCache::frequency`] with the drain-saturation factor already
-    /// computed (`drain` must be
-    /// [`DelayCache::drain_factor`]`(th, vdd)`) — lets a solver evaluating
-    /// several rings at one `(temperature, supply)` point share the factor.
-    #[must_use]
-    pub fn frequency_with_drain(
-        &self,
-        th: &ThermalPoint,
-        drain: f64,
-        vdd: Volt,
-        env: &CmosEnv,
-    ) -> Hertz {
-        let stage = self
-            .delay
-            .stage_delay_with_drain(th, drain, vdd, self.node_cap, env);
-        Seconds(self.two_stages * stage.0).to_frequency()
-    }
-
     /// The underlying per-inverter [`DelayCache`] — solver loops use it to
     /// evaluate per-device on-currents they can then memoize across
     /// finite-difference perturbations.
@@ -216,12 +198,13 @@ impl RingCache {
         &self.delay
     }
 
-    /// [`RingCache::frequency_with_drain`] with both device on-currents
-    /// already computed (`ion_n`/`ion_p` must be this cache's
+    /// [`RingCache::frequency`] with both device on-currents already
+    /// computed (`ion_n`/`ion_p` must be this cache's
     /// [`DelayCache::nmos_current`]/[`DelayCache::pmos_current`] at the
-    /// same `(th, vdd, drain)` point) — the exact arithmetic tail of the
-    /// drain-factor path, so a solver that knows a perturbation left one
-    /// device untouched can skip re-evaluating it.
+    /// same `(th, vdd)` point and its [`DelayCache::drain_factor`]) — the
+    /// exact arithmetic tail of [`DelayCache::stage_delay_with_drain`], so
+    /// a solver that knows a perturbation left one device untouched can
+    /// skip re-evaluating it.
     #[must_use]
     pub fn frequency_from_currents(&self, ion_n: f64, ion_p: f64, vdd: Volt) -> Hertz {
         let stage = self

@@ -125,13 +125,9 @@ pub(crate) fn solve_calibration(
     ns: &mut NewtonScratch,
 ) -> Result<([f64; 4], usize), SensorError> {
     let t_cal = sensor.spec.calib_temp;
-    // The calibration temperature is fixed across iterations, so the shared
-    // per-temperature point — and with it each row's drain-saturation
-    // factor — is hoisted out of the residual entirely, as are the measured
-    // log-frequencies (all bit-identical: the same pure expressions, just
-    // evaluated once instead of per residual call).
-    let th = sensor.cache.thermal(t_cal);
-    let drains = plan.map(|(_, vdd)| DelayCache::drain_factor(&th, vdd));
+    // The measured log-frequencies are hoisted out of the residual
+    // (bit-identical: the same pure expressions, evaluated once instead of
+    // per residual call).
     let ln_m = measured.map(f64::ln);
     const FD_STEPS: [f64; 4] = [1e-4, 1e-4, 1e-3, 1e-3];
     const STEP_LIMITS: [f64; 4] = [0.04, 0.04, 0.15, 0.15];
@@ -143,8 +139,7 @@ pub(crate) fn solve_calibration(
             |v, out| {
                 let env = model_env(v[0], v[1], v[2], v[3], t_cal);
                 for (slot, (class, vdd)) in plan.iter().enumerate() {
-                    out[slot] = sensor.model_ln_f_at_drain(*class, *vdd, &env, &th, drains[slot])
-                        - ln_m[slot];
+                    out[slot] = sensor.model_ln_f(*class, *vdd, &env) - ln_m[slot];
                 }
             },
             &FD_STEPS,
@@ -153,14 +148,18 @@ pub(crate) fn solve_calibration(
             "calibration decoupling",
         )?
     } else {
-        // Analytic path: evaluate per-device on-currents so the Jacobian
-        // sweep can reuse the device a perturbation left untouched — the
-        // NMOS currents depend only on `(v[0], v[2])` and the PMOS
-        // currents only on `(v[1], v[3])` (the temperature is fixed at
-        // `t_cal`). Bit-identical to the unmemoized path: a memo hit
-        // replays the exact values the miss path computes, and the
+        // Analytic path: the calibration temperature is fixed across
+        // iterations, so the per-temperature point and each row's
+        // drain-saturation factor are hoisted out of the residual, and the
+        // per-device on-currents are memoized so the Jacobian sweep can
+        // reuse the device a perturbation left untouched — the NMOS
+        // currents depend only on `(v[0], v[2])` and the PMOS currents only
+        // on `(v[1], v[3])`. Bit-identical to the unmemoized path: a memo
+        // hit replays the exact values the miss path computes, and the
         // current→delay→frequency recombination below is the same
-        // arithmetic `frequency_with_drain` performs.
+        // arithmetic `RingCache::frequency` performs.
+        let th = sensor.cache.thermal(t_cal);
+        let drains = plan.map(|(_, vdd)| DelayCache::drain_factor(&th, vdd));
         let rings = plan.map(|(class, _)| sensor.cache.ring(class));
         let mut n_memo = CurrentMemo::<4>::new();
         let mut p_memo = CurrentMemo::<4>::new();
@@ -245,13 +244,6 @@ fn solve_conversion(
     // of the residual is bit-identical (the subtraction order below is
     // unchanged — `ln_ft` and `ln_scale` stay separate addends).
     let (ln_ft, ln_fn, ln_fp) = (f_t.0.ln(), f_n.0.ln(), f_p.0.ln());
-    // One thermal point (one `powf`) and two drain factors (one `exp`
-    // each) per *distinct temperature*, shared by the three model rows and
-    // — via the memo — by the two threshold-perturbed Jacobian evaluations
-    // of each Newton iteration, which re-visit the iterate's temperature.
-    // Exact memoization: a hit replays the identical values the miss path
-    // computes from the same `t`.
-    let mut point_memo: Option<(u64, ThermalPoint, f64, f64)> = None;
     const FD_STEPS: [f64; 3] = [0.01, 1e-4, 1e-4];
     const STEP_LIMITS: [f64; 3] = [40.0, 0.03, 0.03];
     // The TSRO row dominates temperature and the PSRO rows dominate the
@@ -265,38 +257,10 @@ fn solve_conversion(
             &mut x,
             |v, out| {
                 let env = model_env(v[1], v[2], mu_n, mu_p, Celsius(v[0]));
-                let (th, drain_tsro, drain_low) = match point_memo {
-                    Some((bits, th, dt, dl)) if bits == v[0].to_bits() => (th, dt, dl),
-                    _ => {
-                        let th = sensor.cache.thermal(env.temp);
-                        let dt = DelayCache::drain_factor(&th, spec.bank.vdd_tsro);
-                        let dl = DelayCache::drain_factor(&th, spec.bank.vdd_low);
-                        point_memo = Some((v[0].to_bits(), th, dt, dl));
-                        (th, dt, dl)
-                    }
-                };
-                out[0] = sensor.model_ln_f_at_drain(
-                    RoClass::Tsro,
-                    spec.bank.vdd_tsro,
-                    &env,
-                    &th,
-                    drain_tsro,
-                ) - ln_ft
-                    + ln_scale;
-                out[1] = sensor.model_ln_f_at_drain(
-                    RoClass::PsroN,
-                    spec.bank.vdd_low,
-                    &env,
-                    &th,
-                    drain_low,
-                ) - ln_fn;
-                out[2] = sensor.model_ln_f_at_drain(
-                    RoClass::PsroP,
-                    spec.bank.vdd_low,
-                    &env,
-                    &th,
-                    drain_low,
-                ) - ln_fp;
+                out[0] =
+                    sensor.model_ln_f(RoClass::Tsro, spec.bank.vdd_tsro, &env) - ln_ft + ln_scale;
+                out[1] = sensor.model_ln_f(RoClass::PsroN, spec.bank.vdd_low, &env) - ln_fn;
+                out[2] = sensor.model_ln_f(RoClass::PsroP, spec.bank.vdd_low, &env) - ln_fp;
             },
             &FD_STEPS,
             &STEP_LIMITS,
@@ -308,6 +272,14 @@ fn solve_conversion(
         // NMOS currents depend only on `(v[0], v[1])` and the PMOS
         // currents only on `(v[0], v[2])`, so the threshold-perturbed
         // Jacobian columns reuse the other device's currents verbatim.
+        //
+        // One thermal point (one `powf`) and two drain factors (one `exp`
+        // each) per *distinct temperature*, shared by the three model rows
+        // and — via the memo — by the two threshold-perturbed Jacobian
+        // evaluations of each Newton iteration, which re-visit the
+        // iterate's temperature. Exact memoization: a hit replays the
+        // identical values the miss path computes from the same `t`.
+        let mut point_memo: Option<(u64, ThermalPoint, f64, f64)> = None;
         let rings = [
             sensor.cache.ring(RoClass::Tsro),
             sensor.cache.ring(RoClass::PsroN),

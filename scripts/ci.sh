@@ -11,8 +11,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline (all targets)"
 cargo build --release --offline --all-targets
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
+echo "==> cargo test -q --offline --workspace"
+cargo test -q --offline --workspace
 
 echo "==> cargo clippy --offline (deny warnings)"
 cargo clippy --offline --all-targets -- -D warnings
@@ -147,10 +147,10 @@ print(f"service bench: {len(lines) - 1} scenarios, schema OK")
 EOF
 
 echo "==> solver-equivalence smoke (GS oracle vs CG vs multigrid, release FP paths)"
-# Debug-mode `cargo test` above already runs the full equivalence suites;
-# this re-runs the cross-solver and bit-determinism gates against the
-# release binaries, whose float codegen is what the benches and the fault
-# campaign actually execute.
+# The debug-mode workspace `cargo test` above runs these suites too; this
+# re-runs the cross-solver and bit-determinism gates against the release
+# binaries, whose float codegen is what the benches and the fault campaign
+# actually execute.
 cargo test -q --release --offline -p ptsim-thermal --test properties all_three_steady_solvers_agree
 cargo test -q --release --offline -p ptsim-thermal --test determinism
 
@@ -158,6 +158,9 @@ echo "==> SoA-vs-scalar bit-identity smoke (lane kernel, release FP paths)"
 # Same rationale: the lane kernel's bit-identity to the scalar oracle must
 # hold under the release float codegen the benches and the fleet daemon run.
 cargo test -q --release --offline -p ptsim-core --test lane_equivalence
+
+echo "==> characterized-model bit-identity smoke (ROM fit vs naive reference, release FP paths)"
+cargo test -q --release --offline -p ptsim-core --test golden_equivalence
 
 echo "==> bench smoke (1 sample, parse-only — timing never gates CI)"
 # Keeps every bench binary buildable and its JSON output machine-parseable;
@@ -185,6 +188,8 @@ assert "steady_state_gs/16" in names, "Gauss-Seidel oracle bench missing"
 assert "transient_step_warm_16x16x4" in names, "warm transient-step bench missing"
 assert "batch_convert_100" in names, "lane-kernel population bench missing"
 assert "batch_convert_scalar_100" in names, "scalar-oracle population bench missing"
+assert "golden_characterize" in names, "ROM characterization bench missing"
+assert "rom_convert" in names, "warm ROM conversion bench missing"
 print(f"bench smoke: {len(names)} benchmarks, JSON OK")
 '
 
