@@ -1,8 +1,11 @@
 //! Regenerates every figure and table in sequence (the full evaluation).
 use ptsim_bench::experiments as exp;
 
+/// An experiment's id and the function that renders its report.
+type Section = (&'static str, fn() -> String);
+
 fn main() {
-    let sections: [(&str, fn() -> String); 15] = [
+    let sections: [Section; 15] = [
         ("F1", exp::f1_ro_vs_temp::run),
         ("F2", exp::f2_ro_vs_vt::run),
         ("F3", exp::f3_temp_error::run),

@@ -25,8 +25,7 @@ use ptsim_device::process::Technology;
 use ptsim_device::units::Celsius;
 use ptsim_mc::die::{DieSample, DieSite};
 use ptsim_mc::driver::{
-    die_field_seed, die_rng, run_parallel_chunked_metered, run_parallel_chunked_with,
-    run_parallel_with, McConfig,
+    die_field_seed, die_rng, run_parallel_chunked_metered, run_parallel_with, McConfig,
 };
 use ptsim_mc::model::{DieSampler, VariationModel};
 use ptsim_mc::spatial::FieldMask;
@@ -211,12 +210,13 @@ impl BatchPlan {
         if self.prototype.characterized_model().is_some() {
             return self.run_population_scalar(cfg, model);
         }
-        run_parallel_chunked_with(
+        run_parallel_chunked_metered(
             cfg,
             LANES,
             || self.lane_worker(model, Scratch::new()),
             |ctx, start, len, out| self.lane_chunk(ctx, cfg.base_seed, start, len, out),
         )
+        .0
     }
 
     /// [`BatchPlan::run_population`] with per-worker

@@ -52,7 +52,7 @@ use crate::pipeline::batch::DieConversion;
 use crate::pipeline::gate::{self, Gated};
 use crate::pipeline::output::{self, CalibrationOutcome, Reading};
 use crate::pipeline::solve::{self, Solved};
-use crate::pipeline::Scratch;
+use crate::pipeline::{run_conversion_with, Scratch};
 use crate::sensor::{PtSensor, SensorInputs};
 use ptsim_circuit::energy::EnergyLedger;
 use ptsim_device::delay::DelayCache;
@@ -924,42 +924,29 @@ pub(crate) fn read_batch_lanes<R: Rng + ?Sized>(
 }
 
 /// Lane-grouped conversion across *independently calibrated* sensor
-/// instances of one design — the fleet service's `batch_read` drain, where
-/// every die owns a sensor clone and an RNG stream. Element `k` converts
+/// instances of one design — the fleet service's serving path, where every
+/// die owns a sensor clone and an RNG stream. Element `k` converts
 /// `inputs[k]` on `sensors[k]` drawing from `rngs[k]`, and entry `k` of
-/// the result is exactly what `sensors[k].read(&inputs[k], rngs[k])` would
-/// have produced — bit-identical reading, same stream position — because
-/// gating draws touch only the die's own stream and the jointly-solved
-/// Newton stages are RNG-free. Failures are per-element: one die's error
-/// never disturbs a neighbor's conversion or stream, unlike
-/// [`PtSensor::read_batch`]'s fail-fast contract on a single sensor.
+/// `results` (cleared and refilled) is exactly what
+/// `sensors[k].read(&inputs[k], rngs[k])` would have produced —
+/// bit-identical reading, same stream position — because gating draws
+/// touch only the die's own stream and the jointly-solved Newton stages
+/// are RNG-free. Failures are per-element: one die's error never disturbs
+/// a neighbor's conversion or stream, unlike [`PtSensor::read_batch`]'s
+/// fail-fast contract on a single sensor.
+///
+/// The solver [`Scratch`] and the result vector are the caller's, so a
+/// long-running caller (a fleet shard worker) converts without touching
+/// the allocator once warm. A group of one takes the scalar
+/// [`run_conversion_with`] path on that scratch: a lone die has nothing to
+/// share a lane solve with, and the lane bookkeeping makes it slower than
+/// the scalar oracle it is bit-identical to.
 ///
 /// Every sensor must be a clone of one prototype (same technology and
 /// spec): the lane solver evaluates the shared ring/thermal model through
 /// one group member, and only the per-die calibrations and gated
 /// measurements vary per lane. Degraded (lost-PSRO) sets and
 /// characterized-model sensors fall back to the scalar ladder per element.
-///
-/// # Panics
-///
-/// Panics if the three slices disagree in length.
-pub fn read_group<R: Rng>(
-    sensors: &[&PtSensor],
-    inputs: &[SensorInputs<'_>],
-    rngs: &mut [&mut R],
-) -> Vec<Result<Reading, SensorError>> {
-    let mut scratch = Scratch::new();
-    let mut results = Vec::with_capacity(sensors.len());
-    read_group_with(sensors, inputs, rngs, &mut scratch, &mut results);
-    results
-}
-
-/// [`read_group`] with caller-owned working state: the solver [`Scratch`]
-/// and the result vector are reused across calls, so a long-running caller
-/// (the fleet daemon's coalescing scheduler drains thousands of groups per
-/// second) pays the scratch and result-buffer allocations once per worker
-/// instead of once per group. `results` is cleared and refilled; values
-/// are bit-identical to [`read_group`].
 ///
 /// # Panics
 ///
@@ -976,6 +963,10 @@ pub fn read_group_with<R: Rng>(
         "group shape mismatch"
     );
     results.clear();
+    if let ([sensor], [inputs], [rng]) = (sensors, inputs, &mut *rngs) {
+        results.push(run_conversion_with(sensor, inputs, &mut **rng, scratch));
+        return;
+    }
     results.reserve(sensors.len());
     let mut start = 0;
     while start < sensors.len() {

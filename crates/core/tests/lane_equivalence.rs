@@ -5,14 +5,18 @@
 //!   length mod [`LANES`] (0 through 2×LANES dies);
 //! * `convert_batch` edge sizes (0, 1, 7, 8, 9 inputs) match a scalar
 //!   `convert` loop bit for bit;
+//! * `read_group_with` groups of 1, 7, 8 and 9 independently calibrated
+//!   sensors — the lone-die scalar selection included — match one
+//!   `PtSensor::read` per sensor in values, errors (uncalibrated and
+//!   parity-corrupted members) and stream positions;
 //! * a die forced into Newton divergence in lane *k* falls back to the
 //!   scalar escalation ladder — same `Reading`, same `SolverRetuned`/
 //!   `RomFallback` health events — and never perturbs neighboring lanes.
 
 use ptsim_core::health::HealthEvent;
-use ptsim_core::pipeline::{read_group, BatchPlan, LANES};
-use ptsim_core::sensor::{PtSensor, SensorInputs, SensorSpec};
-use ptsim_core::Conversion;
+use ptsim_core::pipeline::{read_group_with, BatchPlan, LANES};
+use ptsim_core::sensor::{PtSensor, Reading, SensorInputs, SensorSpec};
+use ptsim_core::{Conversion, Scratch, SensorError};
 use ptsim_device::process::Technology;
 use ptsim_device::units::{Celsius, Volt};
 use ptsim_faults::{Channel, Fault, FaultPlan, ReplicaSel};
@@ -20,6 +24,17 @@ use ptsim_mc::die::{DieSample, DieSite};
 use ptsim_mc::driver::McConfig;
 use ptsim_mc::model::VariationModel;
 use ptsim_rng::{forall, Pcg64, RngCore};
+
+/// One lane-grouped read over fresh working state.
+fn read_group(
+    sensors: &[&PtSensor],
+    inputs: &[SensorInputs<'_>],
+    rngs: &mut [&mut Pcg64],
+) -> Vec<Result<Reading, SensorError>> {
+    let mut results = Vec::new();
+    read_group_with(sensors, inputs, rngs, &mut Scratch::new(), &mut results);
+    results
+}
 
 fn plan() -> BatchPlan {
     BatchPlan::new(Technology::n65(), SensorSpec::default_65nm())
@@ -85,6 +100,76 @@ fn convert_batch_edge_sizes_match_a_scalar_loop() {
 
         assert_eq!(looped.unwrap(), batched.unwrap(), "batch of {n} diverged");
         assert_eq!(rng_loop.next_u64(), rng_batch.next_u64());
+    }
+}
+
+/// What the first sensor of a [`group`] is; every other member is
+/// calibrated.
+#[derive(Clone, Copy, PartialEq)]
+enum First {
+    Calibrated,
+    Uncalibrated,
+    ParityCorrupted,
+}
+
+/// `n` identically seeded sensors, each with its own stream.
+fn group(n: usize, first: First) -> (Vec<PtSensor>, Vec<Pcg64>) {
+    let die = DieSample::nominal();
+    let boot = SensorInputs::new(&die, DieSite::CENTER, Celsius(25.0));
+    (0..n)
+        .map(|k| {
+            let mut s = PtSensor::new(Technology::n65(), SensorSpec::default_65nm()).unwrap();
+            let mut rng = Pcg64::seed_from_u64(0x9e0 ^ k as u64);
+            if k > 0 || first != First::Uncalibrated {
+                s.prepare(&boot, &mut rng).unwrap();
+            }
+            if k == 0 && first == First::ParityCorrupted {
+                s.inject_faults(FaultPlan::single(Fault::CalibRegisterSeu {
+                    register: 2,
+                    bit: 9,
+                }));
+            }
+            (s, rng)
+        })
+        .unzip()
+}
+
+#[test]
+fn read_group_edge_sizes_match_per_sensor_reads() {
+    // 1 = the lone die of the scalar selection, 7/9 = tails straddling a
+    // chunk boundary, 8 = exactly one full chunk.
+    let die = DieSample::nominal();
+    for n in [1usize, 7, 8, 9] {
+        let inputs: Vec<SensorInputs<'_>> = (0..n)
+            .map(|i| SensorInputs::new(&die, DieSite::CENTER, Celsius(-10.0 + 14.0 * i as f64)))
+            .collect();
+        for first in [
+            First::Calibrated,
+            First::Uncalibrated,
+            First::ParityCorrupted,
+        ] {
+            let (sensors, mut rngs) = group(n, first);
+            let refs: Vec<&PtSensor> = sensors.iter().collect();
+            let mut rng_refs: Vec<&mut Pcg64> = rngs.iter_mut().collect();
+            let grouped = read_group(&refs, &inputs, &mut rng_refs);
+
+            let (oracle, mut oracle_rngs) = group(n, first);
+            for k in 0..n {
+                let expected = oracle[k].read(&inputs[k], &mut oracle_rngs[k]);
+                assert_eq!(grouped[k], expected, "group of {n}, member {k} diverged");
+                assert_eq!(rngs[k].next_u64(), oracle_rngs[k].next_u64());
+            }
+            match first {
+                First::Calibrated => assert!(grouped[0].is_ok()),
+                First::Uncalibrated => {
+                    assert_eq!(grouped[0], Err(SensorError::NotCalibrated));
+                }
+                First::ParityCorrupted => assert!(matches!(
+                    grouped[0],
+                    Err(SensorError::CalibrationCorrupted { .. })
+                )),
+            }
+        }
     }
 }
 

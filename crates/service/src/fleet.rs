@@ -213,7 +213,7 @@ impl Fleet {
         let shard = &self.shards[(die % self.cfg.n_shards) as usize];
         let state = recover(shard.status.lock()).state;
         if state == ShardState::Dead {
-            shard.count_pub(|m| m.rej_shard_down);
+            shard.count(|m| m.rej_shard_down);
             return Response::rejected(
                 Rejection::ShardDown,
                 format!("shard {} is dead", shard.cfg.shard_id),
@@ -247,12 +247,12 @@ impl Fleet {
                             Rejection::Overloaded,
                             "shed for higher-priority work",
                         ));
-                        shard.count_pub(|m| m.rej_overloaded);
+                        shard.count(|m| m.rej_overloaded);
                         q.push_back(job);
                     }
                     _ => {
                         drop(q);
-                        shard.count_pub(|m| m.rej_overloaded);
+                        shard.count(|m| m.rej_overloaded);
                         return Response::rejected(
                             Rejection::Overloaded,
                             format!("shard {} queue full", shard.cfg.shard_id),
@@ -275,7 +275,7 @@ impl Fleet {
         match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
             Ok(resp) => resp,
             Err(_) => {
-                shard.count_pub(|m| m.rej_timeout);
+                shard.count(|m| m.rej_timeout);
                 Response::rejected(
                     Rejection::Timeout,
                     format!("deadline of {deadline_ms} ms exceeded"),
@@ -350,20 +350,10 @@ impl Fleet {
     }
 }
 
-impl ShardShared {
-    /// Public counter bump for the fleet front-end (the private helper in
-    /// `shard.rs` covers the worker side).
-    pub(crate) fn count_pub(&self, pick: impl Fn(&SvcMetrics) -> ptsim_obs::CounterId) {
-        let mut m = recover(self.metrics.lock());
-        let id = pick(&m);
-        m.reg.inc(id);
-    }
-}
-
 fn drain_with_rejection(shard: &ShardShared, detail: &str) {
     let drained: Vec<_> = recover(shard.queue.lock()).drain(..).collect();
     for job in drained {
-        shard.count_pub(|m| m.rej_shard_down);
+        shard.count(|m| m.rej_shard_down);
         let _ = job
             .reply
             .send(Response::rejected(Rejection::ShardDown, detail));
@@ -394,7 +384,7 @@ fn supervise(shared: &Arc<ShardShared>, cfg: &FleetConfig) {
                     } else {
                         ShardState::Restarting
                     };
-                    shared.count_pub(|m| m.restarts);
+                    shared.count(|m| m.restarts);
                     st.restarts
                 };
                 if restarts > cfg.max_restarts {

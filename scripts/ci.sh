@@ -14,8 +14,8 @@ cargo build --release --offline --all-targets
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
-echo "==> cargo clippy --offline (deny warnings)"
-cargo clippy --offline --all-targets -- -D warnings
+echo "==> cargo clippy --offline --workspace (deny warnings)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -146,12 +146,12 @@ assert {"service/read_seq", "service/read_seq_v2", "service/read_concurrent",
 print(f"service bench: {len(lines) - 1} scenarios, schema OK")
 EOF
 
-echo "==> solver-equivalence smoke (GS oracle vs CG vs multigrid, release FP paths)"
+echo "==> solver-equivalence smoke (GS oracle vs multigrid, release FP paths)"
 # The debug-mode workspace `cargo test` above runs these suites too; this
 # re-runs the cross-solver and bit-determinism gates against the release
 # binaries, whose float codegen is what the benches and the fault campaign
 # actually execute.
-cargo test -q --release --offline -p ptsim-thermal --test properties all_three_steady_solvers_agree
+cargo test -q --release --offline -p ptsim-thermal --test properties gs_and_multigrid_agree
 cargo test -q --release --offline -p ptsim-thermal --test determinism
 
 echo "==> SoA-vs-scalar bit-identity smoke (lane kernel, release FP paths)"

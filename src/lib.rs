@@ -73,7 +73,7 @@ pub mod prelude {
         DtmConfig, DtmController, DtmOutcome, DtmSensing, DvfsTable, HardeningSpec, Health,
         HealthEvent, HealthStatus, NominalSensing, OperatingPoint, PtSensor, Reading, RoBank,
         RoClass, SensingMode, SensorError, SensorInputs, SensorSpec, StackMonitor, TierReading,
-        VddMonitor, WorkloadTrace,
+        WorkloadTrace,
     };
     pub use ptsim_device::units::{
         Ampere, Celsius, Farad, Hertz, Joule, Kelvin, Micron, Ohm, Pascal, Seconds, Volt, Watt,
